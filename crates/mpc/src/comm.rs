@@ -8,6 +8,7 @@ use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use crate::codec::{decode, encode};
 use crate::envelope::{Envelope, Source, Tag, TagSel};
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
@@ -591,17 +592,4 @@ impl<T: DeserializeOwned> RecvRequest<T> {
 /// ```
 pub fn wait_all<T: DeserializeOwned>(requests: Vec<RecvRequest<T>>) -> Result<Vec<(T, Status)>> {
     requests.into_iter().map(RecvRequest::wait).collect()
-}
-
-/// Serialize a payload (JSON wire format — human-readable, mirroring the
-/// teaching materials' Python objects; raw-bytes APIs exist for benches).
-pub(crate) fn encode<T: Serialize>(value: &T) -> Result<Bytes> {
-    serde_json::to_vec(value)
-        .map(Bytes::from)
-        .map_err(|e| MpcError::Decode(format!("encode: {e}")))
-}
-
-/// Deserialize a payload.
-pub(crate) fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
-    serde_json::from_slice(bytes).map_err(|e| MpcError::Decode(e.to_string()))
 }

@@ -24,7 +24,8 @@ use serde::Serialize;
 
 use pdc_chaos::FaultInjector;
 
-use crate::comm::{encode, Comm, SendOutcome};
+use crate::codec::encode;
+use crate::comm::{Comm, SendOutcome};
 use crate::envelope::Tag;
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;

@@ -30,10 +30,12 @@
 //! | `Barrier/Bcast/Scatter/Gather/Reduce/...` | [`collectives`] on [`Comm`] |
 //! | `Split` | [`Comm::split`] |
 //!
-//! Messages carry any `serde`-serializable payload. Matching follows the
-//! MPI standard: a receive matches the *oldest* pending message whose
-//! (source, tag) fits the selectors, and messages between one
-//! (sender, receiver, tag) triple are never reordered (non-overtaking).
+//! Messages carry any `serde`-serializable payload, packed into a
+//! compact binary buffer by [`codec`] (as mpi4py pickles objects).
+//! Matching follows the MPI standard: a receive matches the *oldest*
+//! pending message whose (source, tag) fits the selectors, and messages
+//! between one (sender, receiver, tag) triple are never reordered
+//! (non-overtaking).
 //!
 //! ## Example — the SPMD patternlet of the paper's Figure 2
 //!
@@ -54,6 +56,7 @@
 
 pub mod analysis;
 pub mod cart;
+pub mod codec;
 pub mod collectives;
 pub mod comm;
 pub mod envelope;

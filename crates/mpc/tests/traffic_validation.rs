@@ -93,10 +93,8 @@ fn p2p_traffic_counts_messages_and_bytes() {
     });
     assert_eq!(traffic.messages(0, 1), 5);
     assert_eq!(traffic.messages(1, 0), 0);
-    assert!(
-        traffic.bytes(0, 1) >= 5 * 13,
-        "JSON '[1.0,2.0,3.0]' is 13+ bytes"
-    );
+    // Binary codec: array tag + u32 count + 3 × (f64 tag + 8 bytes).
+    assert_eq!(traffic.bytes(0, 1), 5 * (1 + 4 + 3 * 9));
 }
 
 #[test]

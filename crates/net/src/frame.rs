@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic      "PDCN"
-//!      4     2  version    wire protocol version (little-endian, = 1)
+//!      4     2  version    wire protocol version (little-endian, = 2)
 //!      6     1  kind       FrameKind discriminant
 //!      7     1  flags      bit 0 overtake, bit 1 retransmit
 //!      8     4  src        sender's rank (world rank for control
@@ -35,7 +35,9 @@ pub const WIRE_MAGIC: [u8; 4] = *b"PDCN";
 
 /// Wire protocol version. Bumped on any incompatible layout change;
 /// peers with mismatched versions refuse each other at handshake.
-pub const WIRE_VERSION: u16 = 1;
+/// Version 2: Data payloads use `pdc_mpc::codec`'s binary encoding
+/// instead of JSON.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Refuse absurd frames before allocating for them.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
@@ -351,6 +353,18 @@ mod tests {
         bytes[12] ^= 0x10;
         let err = Frame::read_from(&mut bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn version_one_header_is_refused() {
+        let mut bytes = data_frame().encode();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let err = Frame::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported wire version"),
+            "{err}"
+        );
     }
 
     #[test]

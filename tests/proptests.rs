@@ -1,9 +1,14 @@
 //! Property-based tests over the workspace's core invariants, spanning
 //! crates: runtime scheduling/reduction laws, message-passing semantics,
-//! the statistics stack, and the reconstruction solver.
+//! the payload codec, the statistics stack, and the reconstruction
+//! solver.
+
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
+use pdc_mpc::codec::{decode, encode};
 use pdc_mpc::{ops, World};
 use pdc_shmem::{parallel_for, parallel_reduce, Schedule, Team};
 use pdc_stats::describe::{mean, round_to, variance};
@@ -247,4 +252,148 @@ proptest! {
             prop_assert_eq!(day.s + day.i + day.r, agents);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The typed-message payload codec (`pdc_mpc::codec`).
+// ---------------------------------------------------------------------
+
+/// Text with JSON escapes, control characters and non-ASCII code points.
+const TEXT: &str = "[a-c\"\\\n\t\u{1}/é中😀]{0,10}";
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Empty,
+    Radius(f64),
+    Point(f64, f64),
+    Named { label: String, sides: u8 },
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Nested {
+    grid: Vec<Vec<f64>>,
+    maybe: Option<i64>,
+    triple: (u64, String, bool),
+    sorted: BTreeMap<String, Vec<u32>>,
+    hashed: HashMap<String, Option<f64>>,
+    shapes: Vec<Shape>,
+}
+
+/// Ordinary `f64`s plus the edge values a text codec mangles (NaN is
+/// covered bit for bit by `tests/payload_fidelity.rs`; it would defeat
+/// the `==` below).
+fn float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<f64>(),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(f64::MAX),
+        Just(f64::MIN_POSITIVE),
+        Just(5e-324),
+        Just(0.1 + 0.2),
+    ]
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        Just(Shape::Empty),
+        float().prop_map(Shape::Radius),
+        prop::collection::vec(float(), 2..3).prop_map(|xy| Shape::Point(xy[0], xy[1])),
+        TEXT.prop_map(|label| Shape::Named { label, sides: 3 }),
+    ]
+}
+
+fn maybe_int() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![Just(None), any::<i64>().prop_map(Some)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn codec_round_trips_nested_payloads(
+        grid in prop::collection::vec(prop::collection::vec(float(), 0..5), 0..5),
+        maybe in maybe_int(),
+        big in any::<u64>(),
+        text in TEXT,
+        flag in any::<bool>(),
+        keys in prop::collection::vec(TEXT, 0..4),
+        counts in prop::collection::vec(any::<u32>(), 0..4),
+        shapes in prop::collection::vec(shape(), 0..4),
+    ) {
+        let nested = Nested {
+            grid,
+            maybe,
+            triple: (big, text, flag),
+            sorted: keys.iter().map(|k| (k.clone(), counts.clone())).collect(),
+            hashed: keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.clone(), (i % 2 == 0).then_some(i as f64 * -0.5)))
+                .collect(),
+            shapes,
+        };
+        let bytes = encode(&nested).unwrap();
+        let back: Nested = decode(&bytes).unwrap();
+        prop_assert_eq!(&back, &nested);
+        // `==` cannot see the sign of -0.0; the re-encoded bits can.
+        prop_assert_eq!(encode(&back).unwrap(), bytes);
+    }
+
+    #[test]
+    fn codec_decode_never_panics_on_hostile_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+        grid in prop::collection::vec(prop::collection::vec(float(), 0..4), 1..4),
+        label in TEXT,
+        flip in any::<usize>(),
+    ) {
+        // Arbitrary bytes: an error or some value, never a panic.
+        let _ = decode::<serde_json::Value>(&noise);
+        let _ = decode::<Vec<Vec<f64>>>(&noise);
+        let valid = encode(&(grid, label, Shape::Point(1.0, -2.0))).unwrap();
+        // The encoding is self-delimiting, so every strict prefix is
+        // an error.
+        for cut in 0..valid.len() {
+            prop_assert!(decode::<serde_json::Value>(&valid[..cut]).is_err(), "prefix {}", cut);
+        }
+        let mut flipped = valid.to_vec();
+        let bit = flip % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = decode::<serde_json::Value>(&flipped);
+        let _ = decode::<(Vec<Vec<f64>>, String, Shape)>(&flipped);
+    }
+}
+
+/// The codec's tag byte for an array, read off a real encoding.
+fn array_tag() -> u8 {
+    encode(&Vec::<u8>::new()).unwrap()[0]
+}
+
+#[test]
+fn codec_refuses_a_length_prefix_larger_than_the_input() {
+    for empty in [
+        encode(&Vec::<u8>::new()),
+        encode(""),
+        encode(&BTreeMap::<String, u8>::new()),
+    ] {
+        let mut bytes = empty.unwrap().to_vec();
+        assert_eq!(bytes.len(), 5, "tag + u32 length");
+        bytes[1..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode::<serde_json::Value>(&bytes).is_err());
+    }
+}
+
+#[test]
+fn codec_refuses_ten_thousand_nested_arrays() {
+    let mut bytes = Vec::new();
+    for _ in 0..10_000 {
+        bytes.push(array_tag());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+    }
+    bytes.extend_from_slice(&encode(&()).unwrap());
+    let err = decode::<serde_json::Value>(&bytes).unwrap_err();
+    assert!(err.to_string().contains("deeper"), "{err}");
+    // Bare tags with no lengths at all are refused too.
+    assert!(decode::<serde_json::Value>(&vec![array_tag(); 10_000]).is_err());
 }
