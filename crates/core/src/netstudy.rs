@@ -36,8 +36,8 @@ use serde::{Deserialize, Serialize};
 
 use pdc_chaos::{FaultInjector, FaultPlan, FaultStats, FileCheckpointStore};
 use pdc_exemplars::forestfire::{self, FireConfig, TrialResult};
-use pdc_mpc::{Source, TagSel, Transport, World};
-use pdc_net::{launch, FlakyTransport, LaunchSpec, NetConfig, TcpTransport};
+use pdc_mpc::{FlakyTransport, Source, TagSel, Transport, World};
+use pdc_net::{launch, LaunchSpec, NetConfig, TcpTransport};
 use pdc_patternlets::mp::netsuite;
 
 use crate::chaos::ChaosCounters;

@@ -509,10 +509,10 @@ impl Comm {
             .expect("self in own group");
 
         Ok(Comm {
-            fabric: std::sync::Arc::clone(&self.fabric),
             comm_id,
             group: std::sync::Arc::new(group),
             rank,
+            ..self.clone()
         })
     }
 

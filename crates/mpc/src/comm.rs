@@ -9,21 +9,11 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use crate::codec::{decode, encode};
-use crate::envelope::{Envelope, Source, Tag, TagSel};
+use crate::envelope::{Source, Tag, TagSel};
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
-use crate::transport::{FrameOutcome, WireFrame};
-use crate::world::{Fabric, Route};
-
-/// What became of one transmission at the send chokepoint — internal,
-/// so `send_reliable` can count injected drops it must later recover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SendOutcome {
-    /// At least one copy was deposited at the destination.
-    Delivered,
-    /// The fault injector silently dropped the message.
-    InjectedDrop,
-}
+use crate::transport::{FrameOutcome, Transport, WireFrame};
+use crate::world::Fabric;
 
 /// Delivery metadata for a received message — the `MPI_Status` analog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +33,8 @@ pub struct Status {
 #[derive(Clone)]
 pub struct Comm {
     pub(crate) fabric: Arc<Fabric>,
+    /// Carries every frame this communicator sends.
+    pub(crate) transport: Arc<dyn Transport>,
     pub(crate) comm_id: u64,
     /// Maps group rank → world rank.
     pub(crate) group: Arc<Vec<usize>>,
@@ -122,14 +114,15 @@ impl Comm {
         tag: Tag,
         payload: Bytes,
         sync_ack: Option<Arc<Latch>>,
-    ) -> Result<SendOutcome> {
+    ) -> Result<FrameOutcome> {
         self.send_bytes_inner(dest, tag, payload, sync_ack, false)
     }
 
     /// The single send chokepoint: every message — user, collective, or
-    /// retransmission — passes through here, which is where fault
-    /// injection applies (`exempt` marks control-plane traffic that the
-    /// injector must deliver: retransmissions from `send_reliable`).
+    /// retransmission — passes through here on its way to the
+    /// transport, whichever fabric carries it. `exempt` marks
+    /// control-plane traffic that a fault-injecting transport must
+    /// deliver: retransmissions from `send_reliable`.
     pub(crate) fn send_bytes_inner(
         &self,
         dest: usize,
@@ -137,7 +130,7 @@ impl Comm {
         payload: Bytes,
         sync_ack: Option<Arc<Latch>>,
         exempt: bool,
-    ) -> Result<SendOutcome> {
+    ) -> Result<FrameOutcome> {
         self.check_rank(dest)?;
         let src_w = self.world_rank(self.rank);
         let dst_w = self.world_rank(dest);
@@ -146,18 +139,10 @@ impl Comm {
         span.arg("src", src_w);
         span.arg("dst", dst_w);
         span.arg("tag", tag);
-        span.arg("bytes", payload.len());
-        let env = Envelope {
-            comm_id: self.comm_id,
-            src: self.rank,
-            tag,
-            payload,
-            sync_ack,
-        };
-        // Straggler delay applies to first transmissions only (both
-        // routes): exempting retransmissions keeps the straggler_delays
-        // counter a pure function of how many logical messages the slow
-        // rank sends.
+        span.arg("bytes", payload_len);
+        // Straggler delay applies to first transmissions only: exempting
+        // retransmissions keeps the straggler_delays counter a pure
+        // function of how many logical messages the slow rank sends.
         if !exempt {
             if let Some(inj) = &self.fabric.injector {
                 if let Some(extra) = inj.straggle(src_w) {
@@ -165,114 +150,31 @@ impl Comm {
                 }
             }
         }
-        let mailboxes = match &self.fabric.route {
-            Route::Threads(mailboxes) => mailboxes,
-            Route::Wire { local, transport } => {
-                if dst_w == transport.rank() {
-                    // Self-send: a loopback deposit, never a wire frame.
-                    if let Some(traffic) = &self.fabric.traffic {
-                        traffic.record(src_w, dst_w, env.payload.len());
-                    }
-                    local.deposit(env);
-                    self.record_send(src_w, dst_w, tag, payload_len, true);
-                    return Ok(SendOutcome::Delivered);
-                }
-                // Remote: register the ack latch (if any) and frame the
-                // message. Frame-level faults are a fault-injecting
-                // transport wrapper's business, not the chokepoint's —
-                // in wire mode the injector here only serves the
-                // crash/straggler schedules.
-                let ack_id = match &env.sync_ack {
-                    Some(latch) => self.fabric.acks.register(Arc::clone(latch)),
-                    None => 0,
-                };
-                let frame = WireFrame {
-                    comm_id: self.comm_id,
-                    src_group: self.rank,
-                    tag,
-                    payload: env.payload,
-                    ack_id,
-                    overtake: false,
-                    exempt,
-                };
-                return match transport.send_frame(dst_w, frame) {
-                    Ok(FrameOutcome::Sent) => {
-                        if let Some(traffic) = &self.fabric.traffic {
-                            traffic.record(src_w, dst_w, payload_len);
-                        }
-                        self.record_send(src_w, dst_w, tag, payload_len, true);
-                        Ok(SendOutcome::Delivered)
-                    }
-                    Ok(FrameOutcome::InjectedDrop) => {
-                        span.arg("fault", "drop");
-                        if ack_id != 0 {
-                            self.fabric.acks.take(ack_id);
-                        }
-                        self.record_send(src_w, dst_w, tag, payload_len, false);
-                        Ok(SendOutcome::InjectedDrop)
-                    }
-                    Err(e) => {
-                        if ack_id != 0 {
-                            self.fabric.acks.take(ack_id);
-                        }
-                        Err(e)
-                    }
-                };
-            }
+        let ack_id = sync_ack.map_or(0, |latch| self.fabric.acks.register(latch));
+        let frame = WireFrame {
+            comm_id: self.comm_id,
+            src_world: src_w,
+            src_group: self.rank,
+            tag,
+            payload,
+            ack_id,
+            overtake: false,
+            exempt,
         };
-        // Traffic is recorded per *delivered* copy (drops don't count,
-        // duplicates count twice), so the matrix reflects what actually
-        // crossed the wire.
-        let deliver = |env: Envelope| {
-            if let Some(traffic) = &self.fabric.traffic {
-                traffic.record(src_w, dst_w, env.payload.len());
-            }
-            mailboxes[dst_w].deposit(env);
-        };
-        let Some(inj) = &self.fabric.injector else {
-            deliver(env);
-            self.record_send(src_w, dst_w, tag, payload_len, true);
-            return Ok(SendOutcome::Delivered);
-        };
-        let verdict = if exempt {
-            pdc_chaos::SendFault::Deliver
-        } else {
-            // Internal collective traffic (negative tags) rides the
-            // reliable control plane: injected faults apply to user
-            // messages only, ULFM-style.
-            inj.on_send(src_w, dst_w, tag >= 0)
-        };
-        match verdict {
-            pdc_chaos::SendFault::Deliver => deliver(env),
-            pdc_chaos::SendFault::Drop => {
-                span.arg("fault", "drop");
-                self.record_send(src_w, dst_w, tag, payload_len, false);
-                return Ok(SendOutcome::InjectedDrop);
-            }
-            pdc_chaos::SendFault::Duplicate => {
-                span.arg("fault", "duplicate");
-                let twin = Envelope {
-                    sync_ack: None, // only one copy carries the ssend latch
-                    ..env.clone()
-                };
-                deliver(env);
-                deliver(twin);
-            }
-            pdc_chaos::SendFault::Delay(extra) => {
-                span.arg("fault", "delay");
-                std::thread::sleep(extra);
-                deliver(env);
-            }
-            pdc_chaos::SendFault::Reorder => {
-                span.arg("fault", "reorder");
-                if let Some(traffic) = &self.fabric.traffic {
-                    traffic.record(src_w, dst_w, env.payload.len());
-                }
-                mailboxes[dst_w].deposit_front(env);
-            }
+        let outcome = self.transport.send_frame(dst_w, frame);
+        if ack_id != 0 && !matches!(outcome, Ok(FrameOutcome::Sent)) {
+            // No copy carries the ack id, so no ack can ever come.
+            self.fabric.acks.take(ack_id);
         }
-        self.record_send(src_w, dst_w, tag, payload_len, true);
-        Ok(SendOutcome::Delivered)
+        let outcome = outcome?;
+        self.record_send(
+            src_w,
+            dst_w,
+            tag,
+            payload_len,
+            outcome == FrameOutcome::Sent,
+        );
+        Ok(outcome)
     }
 
     /// Record one send at the chokepoint, if a communication log is
@@ -302,7 +204,7 @@ impl Comm {
         // The span covers the blocking wait, so its duration is the time
         // this rank spent idle for the message.
         let mut span = pdc_trace::span("mpc", "recv");
-        let env = match self.fabric.local_mailbox(me).take_matching_checked(
+        let env = match self.fabric.mailboxes[me].take_matching_checked(
             self.comm_id,
             src,
             tag,
@@ -491,7 +393,7 @@ impl Comm {
     pub fn probe(&self, src: impl Into<Source>, tag: impl Into<TagSel>) -> Result<Status> {
         let me = self.world_rank(self.rank);
         let src = src.into();
-        let (source, tag, len) = self.fabric.local_mailbox(me).peek_matching_checked(
+        let (source, tag, len) = self.fabric.mailboxes[me].peek_matching_checked(
             self.comm_id,
             src,
             tag.into(),
@@ -504,8 +406,7 @@ impl Comm {
     /// Non-blocking probe — `MPI_Iprobe`.
     pub fn iprobe(&self, src: impl Into<Source>, tag: impl Into<TagSel>) -> Option<Status> {
         let me = self.world_rank(self.rank);
-        self.fabric
-            .local_mailbox(me)
+        self.fabric.mailboxes[me]
             .try_peek_matching(self.comm_id, src.into(), tag.into())
             .map(|(source, tag, len)| Status { source, tag, len })
     }
@@ -551,10 +452,7 @@ impl<T: DeserializeOwned> RecvRequest<T> {
     #[allow(clippy::result_large_err)]
     pub fn test(self) -> std::result::Result<(T, Status), Self> {
         let me = self.comm.world_rank(self.comm.rank);
-        if self
-            .comm
-            .fabric
-            .local_mailbox(me)
+        if self.comm.fabric.mailboxes[me]
             .try_peek_matching(self.comm.comm_id, self.src, self.tag)
             .is_some()
         {

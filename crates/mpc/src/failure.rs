@@ -25,10 +25,11 @@ use serde::Serialize;
 use pdc_chaos::FaultInjector;
 
 use crate::codec::encode;
-use crate::comm::{Comm, SendOutcome};
+use crate::comm::Comm;
 use crate::envelope::Tag;
 use crate::error::{MpcError, Result};
 use crate::mailbox::Latch;
+use crate::transport::FrameOutcome;
 
 /// The world's shared failure detector state: which world ranks have
 /// crashed. Every rank reads the same set, so survivor lists — and
@@ -117,21 +118,12 @@ impl Comm {
         let me = self.world_rank(self.rank);
         if self.fabric.dead.mark(me) {
             pdc_trace::instant("chaos", "rank_crashed", vec![("rank", me.into())]);
-            match &self.fabric.route {
-                crate::world::Route::Threads(mailboxes) => {
-                    for mb in mailboxes {
-                        mb.interrupt();
-                    }
-                }
-                crate::world::Route::Wire { local, transport } => {
-                    // Peers' DeadSets live in other processes: announce
-                    // the (cooperative) crash so their detectors need
-                    // not wait out a heartbeat timeout. A rank killed
-                    // for real never reaches this path.
-                    transport.announce_crash();
-                    local.interrupt();
-                }
-            }
+            // Peers in other processes keep their own dead sets:
+            // announce the (cooperative) crash so their detectors need
+            // not wait out a heartbeat timeout. A rank killed for real
+            // never reaches this path.
+            self.transport.announce_crash();
+            self.fabric.interrupt_all();
         }
     }
 
@@ -205,7 +197,7 @@ impl Comm {
                 Some(Arc::clone(&latch)),
                 attempt > 0,
             )?;
-            if outcome == SendOutcome::InjectedDrop {
+            if outcome == FrameOutcome::InjectedDrop {
                 pending_drops += 1;
                 continue; // nothing deposited; no ack can come
             }
@@ -251,10 +243,10 @@ impl Comm {
         span.arg("from", self.size());
         span.arg("to", survivors.len());
         Ok(Comm {
-            fabric: Arc::clone(&self.fabric),
             comm_id,
             group: Arc::new(survivors),
             rank,
+            ..self.clone()
         })
     }
 }

@@ -1,16 +1,17 @@
-//! Frame-level fault injection: the wire-mode counterpart of the
-//! thread-mode chokepoint's message faults.
+//! Message-fault injection: the one place a [`FaultInjector`]'s
+//! drop/duplicate/delay/reorder verdicts are applied.
 //!
-//! [`FlakyTransport`] wraps any [`Transport`] and consults a
-//! [`FaultInjector`] about every *user* data frame (non-negative tag,
-//! not a retransmission) while armed. Verdicts mirror thread mode:
-//! drops vanish before the wire (reported as
-//! [`FrameOutcome::InjectedDrop`], so `send_reliable`'s
+//! [`FlakyTransport`] wraps any [`Transport`] — the in-process fabric
+//! (`World::run` wraps it whenever the world has an injector) or a
+//! socket backend (the caller wraps it before `World::attach`) — and
+//! consults the injector about every frame that is not a
+//! retransmission while armed. Drops vanish before the inner transport
+//! (reported as [`FrameOutcome::InjectedDrop`], so `send_reliable`'s
 //! drops/recoveries ledger works verbatim), duplicates go out twice,
 //! delays sleep the sender, reorders set the frame's overtake flag.
-//! Control traffic — collectives, acks, retransmissions, heartbeats —
-//! is exempt, the same "reliable control plane" assumption the
-//! thread-mode injector makes.
+//! Control traffic (negative tags: collectives) is consulted too, so it
+//! advances the injector's global op counter that partition windows
+//! index, but it is always delivered — the "reliable control plane".
 //!
 //! Because injector verdicts are counter-based per (src, dst) channel,
 //! a workload whose per-channel user-message sequence is deterministic
@@ -24,11 +25,14 @@
 //! patternlet sweep whose merged traces must analyze clean) and chaos
 //! phases over one connection without re-forming the mesh.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pdc_chaos::{FaultInjector, SendFault};
-use pdc_mpc::{FrameOutcome, Transport, WireFrame, WireHandle};
+
+use crate::error::Result;
+use crate::transport::{FrameOutcome, Transport, WireFrame, WireHandle};
 
 /// A fault-injecting [`Transport`] wrapper. See the module docs.
 pub struct FlakyTransport {
@@ -40,14 +44,14 @@ pub struct FlakyTransport {
 impl std::fmt::Debug for FlakyTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlakyTransport")
-            .field("rank", &self.inner.rank())
+            .field("ranks", &self.inner.ranks())
             .field("armed", &self.armed.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl FlakyTransport {
-    /// Wrap `inner`, consulting `injector` for every armed user frame.
+    /// Wrap `inner`, consulting `injector` for every armed frame.
     /// Starts **armed**; see [`FlakyTransport::set_armed`].
     pub fn new(inner: Arc<dyn Transport>, injector: Arc<FaultInjector>) -> Arc<Self> {
         Arc::new(Self {
@@ -58,9 +62,9 @@ impl FlakyTransport {
     }
 
     /// Arm or disarm injection. Disarmed, every frame passes through
-    /// untouched and the injector is never consulted (its per-channel
-    /// counters do not advance), so the armed phases of a run see the
-    /// same verdict sequence regardless of what ran disarmed.
+    /// untouched and the injector is never consulted (its counters do
+    /// not advance), so the armed phases of a run see the same verdict
+    /// sequence regardless of what ran disarmed.
     pub fn set_armed(&self, armed: bool) {
         self.armed.store(armed, Ordering::SeqCst);
     }
@@ -77,8 +81,8 @@ impl FlakyTransport {
 }
 
 impl Transport for FlakyTransport {
-    fn rank(&self) -> usize {
-        self.inner.rank()
+    fn ranks(&self) -> Range<usize> {
+        self.inner.ranks()
     }
 
     fn size(&self) -> usize {
@@ -93,16 +97,15 @@ impl Transport for FlakyTransport {
         self.inner.start(wire);
     }
 
-    fn send_frame(&self, dst: usize, frame: WireFrame) -> pdc_mpc::error::Result<FrameOutcome> {
-        let user = frame.tag >= 0 && !frame.exempt;
-        if !user || !self.armed.load(Ordering::Relaxed) {
+    fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome> {
+        if frame.exempt || !self.armed.load(Ordering::Relaxed) {
             return self.inner.send_frame(dst, frame);
         }
-        // Each verdict is recorded twice: the counter keeps the totals
-        // that reconcile against the injector's ledger, and a
-        // timestamped `fault_injected` instant (kind/dst/tag) places
-        // the decision on the timeline so dashboards can overlay faults
-        // on the traffic they perturbed.
+        let verdict = self.injector.on_send(frame.src_world, dst, frame.tag >= 0);
+        // A timestamped `fault_injected` instant (kind/dst/tag) places
+        // each decision on the timeline so dashboards can overlay
+        // faults on the traffic they perturbed; the injector's ledger
+        // keeps the totals.
         let tag = frame.tag;
         let fault_instant = move |kind: &'static str| {
             pdc_trace::instant(
@@ -115,38 +118,31 @@ impl Transport for FlakyTransport {
                 ],
             );
         };
-        match self.injector.on_send(self.inner.rank(), dst, true) {
+        match verdict {
             SendFault::Deliver => self.inner.send_frame(dst, frame),
             SendFault::Drop => {
-                // The frame never reaches the wire. The injector
-                // already charged its ledger; the net layer counts the
-                // lost frame too so wire traces reconcile.
-                pdc_trace::counter("net", "frames_dropped", 1);
                 fault_instant("drop");
                 Ok(FrameOutcome::InjectedDrop)
             }
             SendFault::Duplicate => {
+                fault_instant("duplicate");
                 let mut twin = frame.clone();
                 // The twin must not carry the ack id: one matched copy
                 // acks the sender, the other is the duplicate the
                 // receiver has to cope with.
                 twin.ack_id = 0;
                 self.inner.send_frame(dst, frame)?;
-                pdc_trace::counter("net", "frames_duplicated", 1);
-                fault_instant("duplicate");
                 self.inner.send_frame(dst, twin)
             }
             SendFault::Delay(how_long) => {
-                pdc_trace::counter("net", "frames_delayed", 1);
                 fault_instant("delay");
                 std::thread::sleep(how_long);
                 self.inner.send_frame(dst, frame)
             }
             SendFault::Reorder => {
+                fault_instant("reorder");
                 let mut frame = frame;
                 frame.overtake = true;
-                pdc_trace::counter("net", "frames_reordered", 1);
-                fault_instant("reorder");
                 self.inner.send_frame(dst, frame)
             }
         }
@@ -175,8 +171,8 @@ mod tests {
     }
 
     impl Transport for Loopback {
-        fn rank(&self) -> usize {
-            0
+        fn ranks(&self) -> Range<usize> {
+            0..1
         }
         fn size(&self) -> usize {
             2
@@ -185,7 +181,7 @@ mod tests {
             vec!["localhost".into(); 2]
         }
         fn start(&self, _wire: WireHandle) {}
-        fn send_frame(&self, dst: usize, frame: WireFrame) -> pdc_mpc::error::Result<FrameOutcome> {
+        fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome> {
             self.sent.lock().push((dst, frame));
             Ok(FrameOutcome::Sent)
         }
@@ -194,6 +190,7 @@ mod tests {
     fn user_frame(tag: i32) -> WireFrame {
         WireFrame {
             comm_id: 0,
+            src_world: 0,
             src_group: 0,
             tag,
             payload: Bytes::copy_from_slice(b"x"),

@@ -62,6 +62,7 @@ pub mod comm;
 pub mod envelope;
 pub mod error;
 pub mod failure;
+pub mod flaky;
 pub mod mailbox;
 pub mod reduce_op;
 pub mod traffic;
@@ -75,6 +76,7 @@ pub use comm::{Comm, RecvRequest, SendRequest, Status};
 pub use envelope::{Source, Tag, TagSel};
 pub use error::MpcError;
 pub use failure::DeadSet;
+pub use flaky::FlakyTransport;
 pub use reduce_op::ops;
 pub use traffic::TrafficMatrix;
 pub use transport::{FrameOutcome, Transport, WireFrame, WireHandle};

@@ -20,9 +20,9 @@ use crate::error::{MpcError, Result};
 /// at match time — the rendezvous that makes `ssend` deadlock-capable.
 ///
 /// A latch may also carry an *open hook*, run exactly once when the
-/// latch opens. The wire transport uses it to queue an Ack frame back
-/// to a remote sender at match time — the cross-process analog of the
-/// in-process waiter wakeup.
+/// latch opens. Transports use it to ack the sender at match time: by
+/// opening the sender's own latch when both share a process, or by
+/// queueing an Ack frame back over the wire.
 #[derive(Default)]
 pub struct Latch {
     state: Mutex<LatchState>,

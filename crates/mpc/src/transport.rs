@@ -1,32 +1,40 @@
-//! The wire-transport abstraction: how a [`Comm`](crate::Comm) reaches
-//! ranks that are *not* threads in this process.
+//! The transport abstraction: how a [`Comm`](crate::Comm)'s frames
+//! reach the ranks they are addressed to.
 //!
-//! The default fabric runs every rank as a thread and every send as a
-//! mailbox deposit. A [`Transport`] replaces that deposit with a frame
-//! handed to a real wire (pdc-net's TCP backend, a fault-injecting
-//! wrapper, a future RDMA backend) while everything above the
-//! chokepoint — matching semantics, collectives, `ssend` rendezvous,
-//! `send_reliable`, the `DeadSet` — runs unchanged:
+//! Every send takes one route. The chokepoint (`send_bytes_inner`)
+//! frames the message as a [`WireFrame`] and hands it to the world's
+//! [`Transport`], which lands it in the destination rank's mailbox
+//! through [`WireHandle::deliver`]. Only the transport differs between
+//! the two fabrics:
 //!
-//! - Outbound: `send_bytes_inner` frames the message as a [`WireFrame`]
-//!   and calls [`Transport::send_frame`].
-//! - Inbound: the transport's receive pump calls
-//!   [`WireHandle::deliver`], depositing into the one local mailbox.
+//! - `World::run` hosts every rank as a thread of this process; its
+//!   `InProcTransport` delivers each frame on the sender's thread.
+//! - `World::attach` hosts one rank per OS process; a socket transport
+//!   (pdc-net's TCP backend) carries frames to the others, and its
+//!   receive pumps deliver the inbound ones.
+//!
+//! Everything above the transport — matching semantics, collectives,
+//! `ssend` rendezvous, `send_reliable`, the `DeadSet` — is shared, and
+//! [`FlakyTransport`](crate::FlakyTransport), wrapped around either
+//! fabric, is where message faults are injected.
+//!
 //! - Rendezvous/acks: a sender needing a delivery ack registers its
 //!   [`Latch`] in the fabric's ack table and ships the id; the
-//!   receiving side echoes the id in an ack frame at *match time*
-//!   (via the latch open hook), and [`WireHandle::complete_ack`] opens
-//!   the sender's latch — `ssend` and `send_reliable` never know the
-//!   receiver was another OS process.
-//! - Failure: the transport's failure detector (heartbeat timeouts,
+//!   receiving side opens it at *match time* through the latch open
+//!   hook — directly when sender and receiver share the process
+//!   ([`WireHandle::deliver_local`]), else by echoing the id in an ack
+//!   frame that [`WireHandle::complete_ack`] consumes on the sender's
+//!   side. `ssend` and `send_reliable` never know which it was.
+//! - Failure: a transport's failure detector (heartbeat timeouts,
 //!   exhausted reconnects, explicit crash notices) calls
 //!   [`WireHandle::mark_dead`], feeding the same `DeadSet` that
-//!   cooperative thread crashes feed — so `is_alive`, `PeerGone`, and
+//!   cooperative crashes feed — so `is_alive`, `PeerGone`, and
 //!   `shrink` behave identically on both fabrics.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -36,13 +44,15 @@ use crate::error::Result;
 use crate::mailbox::Latch;
 use crate::world::Fabric;
 
-/// One logical message bound for a remote rank — what the send
-/// chokepoint hands to [`Transport::send_frame`], and what a receive
-/// pump hands back to [`WireHandle::deliver`].
+/// One logical message — what the send chokepoint hands to
+/// [`Transport::send_frame`], and what a transport hands back to
+/// [`WireHandle::deliver`].
 #[derive(Debug, Clone)]
 pub struct WireFrame {
     /// Destination communicator id.
     pub comm_id: u64,
+    /// Sender's world rank (what fault injection keys its counters on).
+    pub src_world: usize,
     /// Sender's *group* rank within that communicator (what the
     /// receiver's `Status::source` reports).
     pub src_group: usize,
@@ -66,21 +76,22 @@ pub struct WireFrame {
 /// What a transport did with a frame handed to [`Transport::send_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameOutcome {
-    /// The frame was queued toward the peer. Delivery still depends on
-    /// the wire — reliability is layered above, not promised here.
+    /// The frame was delivered locally or queued toward the peer.
+    /// Delivery over a wire still depends on the wire — reliability is
+    /// layered above, not promised here.
     Sent,
-    /// A fault-injecting wrapper dropped the frame before the wire.
-    /// `send_reliable` counts these exactly like in-process injected
-    /// drops and recovers them by retransmission.
+    /// A fault-injecting wrapper dropped the frame. `send_reliable`
+    /// counts these and recovers them by retransmission.
     InjectedDrop,
 }
 
-/// A wire between this process (hosting exactly one world rank) and its
-/// peers. Implementations are expected to be `Arc`-shared with the
-/// fabric and with whatever launched them.
+/// How frames travel between the ranks hosted in this process and
+/// their peers. Implementations are expected to be `Arc`-shared with
+/// the world's communicators and with whatever launched them.
 pub trait Transport: Send + Sync {
-    /// World rank this process hosts.
-    fn rank(&self) -> usize;
+    /// World ranks hosted in this process: all of them for an
+    /// in-process world, one for a socket-backed rank.
+    fn ranks(&self) -> Range<usize>;
 
     /// World size.
     fn size(&self) -> usize;
@@ -88,20 +99,21 @@ pub trait Transport: Send + Sync {
     /// Per-rank processor names; must return `size()` entries.
     fn hostnames(&self) -> Vec<String>;
 
-    /// Called once by `World::attach`, handing the transport its route
-    /// back into the fabric. Pumps must not deliver before `start`.
+    /// Called once when the world is built, handing the transport its
+    /// route back into the fabric. Nothing may be delivered before
+    /// `start`.
     fn start(&self, wire: WireHandle);
 
-    /// Queue one frame toward world rank `dst` (never this process's
-    /// own rank — self-sends short-circuit at the chokepoint). Sends to
-    /// dead or unreachable peers succeed vacuously, like depositing
-    /// into a mailbox nobody will ever drain.
+    /// Deliver one frame to world rank `dst`, which may be hosted in
+    /// this very process (a self-send included). Sends to dead or
+    /// unreachable peers succeed vacuously, like depositing into a
+    /// mailbox nobody will ever drain.
     fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome>;
 
-    /// This process is abandoning the world (a *cooperative* crash):
-    /// notify peers so their failure detectors need not wait out a
-    /// heartbeat timeout. A real kill never gets to call this — that is
-    /// the case heartbeats exist for.
+    /// A hosted rank is abandoning the world (a *cooperative* crash):
+    /// notify peers in other processes so their failure detectors need
+    /// not wait out a heartbeat timeout. A real kill never gets to call
+    /// this — that is the case heartbeats exist for.
     fn announce_crash(&self) {}
 
     /// Graceful teardown: drain queued frames, say goodbye to peers,
@@ -109,11 +121,52 @@ pub trait Transport: Send + Sync {
     fn shutdown(&self) {}
 }
 
-/// Pending delivery acks by id — the cross-process analog of handing an
-/// `Arc<Latch>` to an in-process receiver.
+/// The in-process fabric: every world rank is a thread of this process,
+/// and sending a frame deposits it into the destination's mailbox on
+/// the sender's thread.
+pub(crate) struct InProcTransport {
+    hostnames: Vec<String>,
+    wire: OnceLock<WireHandle>,
+}
+
+impl InProcTransport {
+    pub(crate) fn new(hostnames: Vec<String>) -> Self {
+        Self {
+            hostnames,
+            wire: OnceLock::new(),
+        }
+    }
+}
+
+impl Transport for InProcTransport {
+    fn ranks(&self) -> Range<usize> {
+        0..self.hostnames.len()
+    }
+
+    fn size(&self) -> usize {
+        self.hostnames.len()
+    }
+
+    fn hostnames(&self) -> Vec<String> {
+        self.hostnames.clone()
+    }
+
+    fn start(&self, wire: WireHandle) {
+        assert!(self.wire.set(wire).is_ok(), "transport started twice");
+    }
+
+    fn send_frame(&self, dst: usize, frame: WireFrame) -> Result<FrameOutcome> {
+        let wire = self.wire.get().expect("transport not started");
+        wire.deliver_local(dst, frame);
+        Ok(FrameOutcome::Sent)
+    }
+}
+
+/// Pending delivery acks by id — what lets a frame carry its sender's
+/// `ssend` latch across any transport.
 ///
-/// Entries for copies that are never matched (duplicates a receiver
-/// never drains, copies outlived by their sender's retry loop) stay
+/// Entries for copies that are never matched (copies outlived by their
+/// sender's retry loop, messages to a rank that never drains them) stay
 /// registered for the fabric's lifetime; bounded by the retry budget
 /// this is a deliberate small leak, not a hazard — a late ack for an
 /// already-removed id is simply ignored.
@@ -153,11 +206,19 @@ impl AckTable {
         }
         Some(latch)
     }
+
+    /// Open the latch registered under `id`; unknown ids (late acks
+    /// for abandoned attempts) are ignored.
+    fn complete(&self, id: u64) {
+        if let Some(latch) = self.take(id) {
+            latch.open();
+        }
+    }
 }
 
 /// The transport's route back into this process's fabric: deliver
-/// inbound frames, complete acks, report peer death. Handed to the
-/// transport by `World::attach`; clone-cheap.
+/// frames, complete acks, report peer death. Handed to the transport
+/// by [`Transport::start`]; clone-cheap.
 #[derive(Clone)]
 pub struct WireHandle {
     fabric: Arc<Fabric>,
@@ -166,7 +227,7 @@ pub struct WireHandle {
 impl std::fmt::Debug for WireHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireHandle")
-            .field("rank", &self.rank())
+            .field("np", &self.fabric.mailboxes.len())
             .finish()
     }
 }
@@ -176,21 +237,20 @@ impl WireHandle {
         Self { fabric }
     }
 
-    /// World rank this process hosts.
-    pub fn rank(&self) -> usize {
-        self.fabric
-            .transport()
-            .expect("WireHandle exists only for wire fabrics")
-            .rank()
-    }
-
-    /// Deliver one inbound frame into the local mailbox. When the frame
-    /// asked for an ack (`ack_id != 0`) the caller supplies `ack`, run
-    /// exactly once at *match time* — when a receive takes the message,
-    /// not when it is deposited — typically queueing an Ack frame back
-    /// to the sender. That timing is what preserves `ssend` rendezvous
-    /// semantics across the wire.
-    pub fn deliver(&self, frame: WireFrame, ack: Option<Box<dyn FnOnce() + Send>>) {
+    /// Deliver one frame into hosted world rank `dst`'s mailbox (at the
+    /// front when `overtake` is set). When the frame asked for an ack
+    /// (`ack_id != 0`) the caller supplies `ack`, run exactly once at
+    /// *match time* — when a receive takes the message, not when it is
+    /// deposited. That timing is what preserves `ssend` rendezvous
+    /// semantics on every transport.
+    ///
+    /// This is also where traffic is counted (`World::run_traced`): once
+    /// per delivered copy, so injected drops count zero times and
+    /// duplicates twice.
+    pub fn deliver(&self, dst: usize, frame: WireFrame, ack: Option<Box<dyn FnOnce() + Send>>) {
+        if let Some(traffic) = &self.fabric.traffic {
+            traffic.record(frame.src_world, dst, frame.payload.len());
+        }
         let sync_ack = ack.map(|hook| {
             let latch = Arc::new(Latch::new());
             latch.set_hook(hook);
@@ -203,7 +263,7 @@ impl WireHandle {
             payload: frame.payload,
             sync_ack,
         };
-        let mailbox = self.fabric.local_mailbox(self.rank());
+        let mailbox = &self.fabric.mailboxes[dst];
         if frame.overtake {
             mailbox.deposit_front(env);
         } else {
@@ -211,12 +271,22 @@ impl WireHandle {
         }
     }
 
+    /// [`WireHandle::deliver`] for a frame whose sender is hosted in
+    /// this process too: its ack, if any, opens the sender's latch
+    /// directly at match time.
+    pub fn deliver_local(&self, dst: usize, frame: WireFrame) {
+        let ack = (frame.ack_id != 0).then(|| {
+            let acks = Arc::clone(&self.fabric.acks);
+            let id = frame.ack_id;
+            Box::new(move || acks.complete(id)) as Box<dyn FnOnce() + Send>
+        });
+        self.deliver(dst, frame, ack);
+    }
+
     /// A peer acked delivery of the frame registered under `id`.
     /// Unknown ids (late acks for abandoned attempts) are ignored.
     pub fn complete_ack(&self, id: u64) {
-        if let Some(latch) = self.fabric.acks.take(id) {
-            latch.open();
-        }
+        self.fabric.acks.complete(id);
     }
 
     /// Register a world rank as dead — the failure detector's verdict
@@ -226,7 +296,7 @@ impl WireHandle {
     pub fn mark_dead(&self, world_rank: usize) -> bool {
         if self.fabric.dead.mark(world_rank) {
             pdc_trace::instant("net", "peer_dead", vec![("rank", world_rank.into())]);
-            self.fabric.local_mailbox(self.rank()).interrupt();
+            self.fabric.interrupt_all();
             true
         } else {
             false

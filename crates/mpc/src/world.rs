@@ -14,8 +14,9 @@ use crate::analysis::{CommLog, RunRecorder};
 use crate::collectives::CollectiveAlgo;
 use crate::comm::Comm;
 use crate::failure::DeadSet;
+use crate::flaky::FlakyTransport;
 use crate::mailbox::{Mailbox, SharedMailbox};
-use crate::transport::{AckTable, Transport, WireHandle};
+use crate::transport::{AckTable, InProcTransport, Transport, WireHandle};
 
 /// Default internal timeout for collectives: generous enough that a
 /// healthy classroom run never trips it, but a mismatched collective
@@ -23,24 +24,12 @@ use crate::transport::{AckTable, Transport, WireHandle};
 /// hanging the process forever.
 pub const DEFAULT_COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// How a fabric's messages travel between ranks.
-pub(crate) enum Route {
-    /// All ranks are threads in this process: one mailbox per world
-    /// rank, a send is a deposit into the destination's mailbox.
-    Threads(Vec<SharedMailbox>),
-    /// This process hosts exactly one world rank; every other rank is
-    /// reached through a wire [`Transport`]. Inbound traffic lands in
-    /// the single local mailbox via [`WireHandle::deliver`].
-    Wire {
-        local: SharedMailbox,
-        transport: Arc<dyn Transport>,
-    },
-}
-
-/// Shared communication state: the message route plus the
-/// communicator-id allocator. Internal; reachable only through [`Comm`].
+/// Shared communication state: one mailbox per world rank (a process
+/// attached to a wire receives only on its own rank's), the ack table,
+/// the dead set, and the communicator-id allocator. Internal; reachable
+/// through [`Comm`] and, for a transport, through its [`WireHandle`].
 pub(crate) struct Fabric {
-    pub(crate) route: Route,
+    pub(crate) mailboxes: Vec<SharedMailbox>,
     pub(crate) hostnames: Vec<String>,
     pub(crate) algo: CollectiveAlgo,
     pub(crate) traffic: Option<crate::traffic::TrafficCounters>,
@@ -49,7 +38,7 @@ pub(crate) struct Fabric {
     pub(crate) collective_timeout: Duration,
     pub(crate) retry: RetryPolicy,
     pub(crate) analysis: Option<RunRecorder>,
-    pub(crate) acks: AckTable,
+    pub(crate) acks: Arc<AckTable>,
     next_comm_id: AtomicU64,
 }
 
@@ -59,27 +48,10 @@ impl Fabric {
         self.next_comm_id.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// The mailbox this process receives on for `world_rank`. A wire
-    /// fabric hosts exactly one rank, so there is exactly one answer.
-    pub(crate) fn local_mailbox(&self, world_rank: usize) -> &SharedMailbox {
-        match &self.route {
-            Route::Threads(mailboxes) => &mailboxes[world_rank],
-            Route::Wire { local, transport } => {
-                debug_assert_eq!(
-                    world_rank,
-                    transport.rank(),
-                    "a wire fabric hosts exactly one rank"
-                );
-                local
-            }
-        }
-    }
-
-    /// The wire transport, when this fabric is socket-backed.
-    pub(crate) fn transport(&self) -> Option<&Arc<dyn Transport>> {
-        match &self.route {
-            Route::Wire { transport, .. } => Some(transport),
-            Route::Threads(_) => None,
+    /// Wake every blocked receiver so it re-checks the dead set.
+    pub(crate) fn interrupt_all(&self) {
+        for mailbox in &self.mailboxes {
+            mailbox.interrupt();
         }
     }
 }
@@ -146,8 +118,10 @@ impl World {
         self
     }
 
-    /// Run under a fault plan: arm a fresh [`FaultInjector`] for `plan`
-    /// and apply it at the send/recv chokepoint. See `pdc-chaos`.
+    /// Run under a fault plan: arm a fresh [`FaultInjector`] for `plan`.
+    /// [`World::run`] injects its message faults through a
+    /// [`FlakyTransport`]; its crash and straggler schedules apply at
+    /// `Comm::chaos_step` and the send chokepoint. See `pdc-chaos`.
     pub fn with_faults(self, plan: FaultPlan) -> Self {
         self.with_fault_injector(Arc::new(FaultInjector::new(plan)))
     }
@@ -221,52 +195,65 @@ impl World {
     /// other OS processes reached over the wire.
     ///
     /// Builder configuration carries over: collective algorithm and
-    /// timeout, retry policy, and the fault injector (which in wire
-    /// mode serves only the crash/straggler schedules — frame-level
-    /// faults belong to a fault-injecting transport wrapper). Hostnames
-    /// come from the transport. Online analysis is thread-mode only
-    /// (a per-process recorder would see a torn view of the world);
-    /// wire runs use the offline JSONL pass instead.
+    /// timeout, retry policy, and the fault injector's crash/straggler
+    /// schedules. Message faults come from whatever the caller wraps
+    /// around its transport (a [`FlakyTransport`]). Hostnames come from
+    /// the transport. Online analysis is thread-mode only (a
+    /// per-process recorder would see a torn view of the world); wire
+    /// runs use the offline JSONL pass instead.
     ///
     /// The caller keeps ownership of the transport and is responsible
     /// for [`Transport::shutdown`] when the rank is done.
     pub fn attach(&self, transport: Arc<dyn Transport>) -> Comm {
+        let ranks = transport.ranks();
+        assert_eq!(ranks.len(), 1, "an attached process hosts one rank");
+        let world = self.build(transport, false, None);
+        pdc_trace::instant(
+            "mpc",
+            "world_attach",
+            vec![("rank", ranks.start.into()), ("np", self.np.into())],
+        );
+        Comm {
+            rank: ranks.start,
+            ..world
+        }
+    }
+
+    /// Build the fabric over `transport` and start the transport;
+    /// returns rank 0's world communicator.
+    fn build(
+        &self,
+        transport: Arc<dyn Transport>,
+        trace: bool,
+        analysis: Option<RunRecorder>,
+    ) -> Comm {
         assert_eq!(
             self.np,
             transport.size(),
             "transport world size must match World::new(np)"
         );
-        let rank = transport.rank();
-        assert!(rank < self.np, "transport rank out of range");
         let hostnames = transport.hostnames();
         assert_eq!(hostnames.len(), self.np, "one hostname per rank");
         let fabric = Arc::new(Fabric {
-            route: Route::Wire {
-                local: Arc::new(Mailbox::new()),
-                transport: Arc::clone(&transport),
-            },
+            mailboxes: (0..self.np).map(|_| Arc::new(Mailbox::new())).collect(),
             hostnames,
             algo: self.algo,
-            traffic: None,
+            traffic: trace.then(|| crate::traffic::TrafficCounters::new(self.np)),
             injector: self.injector.clone(),
             dead: DeadSet::new(),
             collective_timeout: self.collective_timeout,
             retry: self.retry,
-            analysis: None,
-            acks: AckTable::default(),
+            analysis,
+            acks: Arc::default(),
             next_comm_id: AtomicU64::new(1),
         });
         transport.start(WireHandle::new(Arc::clone(&fabric)));
-        pdc_trace::instant(
-            "mpc",
-            "world_attach",
-            vec![("rank", rank.into()), ("np", self.np.into())],
-        );
         Comm {
             fabric,
+            transport,
             comm_id: 0,
             group: Arc::new((0..self.np).collect()),
-            rank,
+            rank: 0,
         }
     }
 
@@ -282,20 +269,16 @@ impl World {
         // Per-world log wins over the ambient one, so a harness can arm a
         // process-wide log without hijacking explicitly-attached worlds.
         let analysis_log = self.analysis.clone().or_else(crate::analysis::ambient);
-        let fabric = Arc::new(Fabric {
-            route: Route::Threads((0..self.np).map(|_| Arc::new(Mailbox::new())).collect()),
-            hostnames: self.hostnames.clone(),
-            algo: self.algo,
-            traffic: trace.then(|| crate::traffic::TrafficCounters::new(self.np)),
-            injector: self.injector.clone(),
-            dead: DeadSet::new(),
-            collective_timeout: self.collective_timeout,
-            retry: self.retry,
-            analysis: analysis_log.map(|log| log.start_run(self.np)),
-            acks: AckTable::default(),
-            next_comm_id: AtomicU64::new(1),
-        });
-        let group: Arc<Vec<usize>> = Arc::new((0..self.np).collect());
+        let inproc = Arc::new(InProcTransport::new(self.hostnames.clone()));
+        let transport: Arc<dyn Transport> = match &self.injector {
+            Some(injector) => FlakyTransport::new(inproc, Arc::clone(injector)),
+            None => inproc,
+        };
+        let world = self.build(
+            transport,
+            trace,
+            analysis_log.map(|log| log.start_run(self.np)),
+        );
 
         let mut run_span = pdc_trace::span("mpc", "world_run");
         run_span.arg("np", self.np);
@@ -303,8 +286,10 @@ impl World {
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(self.np);
             for (rank, slot) in results.iter_mut().enumerate() {
-                let fabric = Arc::clone(&fabric);
-                let group = Arc::clone(&group);
+                let comm = Comm {
+                    rank,
+                    ..world.clone()
+                };
                 let body = &body;
                 handles.push(s.spawn(move || {
                     if pdc_trace::is_enabled() {
@@ -312,12 +297,6 @@ impl World {
                     }
                     let mut rank_span = pdc_trace::span("mpc", "rank");
                     rank_span.arg("rank", rank);
-                    let comm = Comm {
-                        fabric,
-                        comm_id: 0,
-                        group,
-                        rank,
-                    };
                     *slot = Some(body(comm));
                     // Close the span, then park this rank's buffered
                     // events: the scoped join only waits for the closure,
@@ -333,10 +312,10 @@ impl World {
                 }
             }
         });
-        if let Some(rec) = &fabric.analysis {
+        if let Some(rec) = &world.fabric.analysis {
             rec.finish();
         }
-        let traffic = fabric.traffic.as_ref().map(|t| t.snapshot());
+        let traffic = world.fabric.traffic.as_ref().map(|t| t.snapshot());
         (
             results
                 .into_iter()

@@ -134,3 +134,29 @@ fn master_worker_traffic_shape() {
     assert_eq!(traffic.in_degree(0), 12);
     assert_eq!(traffic.out_degree(0), 12);
 }
+
+#[test]
+fn traffic_counts_delivered_copies_under_faults() {
+    use pdc_chaos::FaultPlan;
+    const N: u64 = 6;
+    let send_n = |plan: FaultPlan| {
+        let (_, traffic) = World::new(2).with_faults(plan).run_traced(|c| {
+            if c.rank() == 0 {
+                for i in 0..N {
+                    c.send(1, 4, &i).unwrap();
+                }
+            }
+        });
+        traffic
+    };
+    // Every copy is dropped before delivery: nothing crossed the fabric.
+    let dropped = send_n(FaultPlan::new(3).with_drop_rate(1.0));
+    assert_eq!(dropped.total_messages(), 0);
+    assert_eq!(dropped.total_bytes(), 0);
+    // Every message is delivered twice, and each copy counts.
+    let doubled = send_n(FaultPlan::new(3).with_duplicate_rate(1.0));
+    assert_eq!(doubled.messages(0, 1), 2 * N);
+    assert_eq!(doubled.total_messages(), 2 * N);
+    let clean = send_n(FaultPlan::new(3));
+    assert_eq!(doubled.bytes(0, 1), 2 * clean.bytes(0, 1));
+}

@@ -25,8 +25,8 @@
 //! - [`transport`] — [`TcpTransport`]: rendezvous, full mesh, per-peer
 //!   pumps, heartbeat failure detection, reconnect with deterministic
 //!   backoff.
-//! - [`flaky`] — [`FlakyTransport`]: frame-level fault injection, the
-//!   wire analog of the thread-mode chaos chokepoint.
+//! - Fault injection is not here: wrap a [`TcpTransport`] in
+//!   `pdc_mpc::FlakyTransport`, the same wrapper thread-mode worlds use.
 //! - [`launcher`] — [`launch`] and the `pdc-run` binary: the `mpirun`
 //!   analog.
 //!
@@ -46,12 +46,10 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod flaky;
 pub mod frame;
 pub mod launcher;
 pub mod transport;
 
-pub use flaky::FlakyTransport;
 pub use frame::{crc32, Frame, FrameKind, Hello, Welcome, MAX_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};
 pub use launcher::{launch, LaunchSpec, RankExit};
 pub use transport::{NetConfig, TcpTransport};

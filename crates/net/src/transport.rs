@@ -38,6 +38,7 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -284,8 +285,8 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn rank(&self) -> usize {
-        self.shared.cfg.rank
+    fn ranks(&self) -> Range<usize> {
+        self.shared.cfg.rank..self.shared.cfg.rank + 1
     }
 
     fn size(&self) -> usize {
@@ -311,6 +312,15 @@ impl Transport for TcpTransport {
     }
 
     fn send_frame(&self, dst: usize, frame: WireFrame) -> pdc_mpc::error::Result<FrameOutcome> {
+        if dst == self.shared.cfg.rank {
+            // A self-send is a loopback delivery; it never touches a
+            // socket. Sends only start after `start`, so the handle is set.
+            let handle = self.shared.handle.lock().clone();
+            if let Some(handle) = handle {
+                handle.deliver_local(dst, frame);
+            }
+            return Ok(FrameOutcome::Sent);
+        }
         let f = Frame {
             kind: FrameKind::Data,
             src: frame.src_group as u32,
@@ -743,8 +753,10 @@ impl Shared {
                         None
                     };
                     handle.deliver(
+                        self.cfg.rank,
                         WireFrame {
                             comm_id: frame.comm_id,
+                            src_world: peer,
                             src_group: frame.src as usize,
                             tag: frame.tag,
                             payload: Bytes::from(frame.payload),

@@ -7,7 +7,9 @@
 //! stack frame just like an OpenMP parallel region sees the enclosing
 //! scope's shared variables.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -93,91 +95,49 @@ impl Team {
         F: Fn(&ThreadCtx) -> T + Sync,
         T: Send,
     {
-        let mut region = pdc_trace::span("shmem", "try_parallel");
-        region.arg("threads", self.num_threads);
-        let shared = RegionShared {
-            barrier: self.barrier_kind.build(self.num_threads),
-            criticals: CriticalRegistry::default(),
-        };
-        let mut results: Vec<Option<T>> = (0..self.num_threads).map(|_| None).collect();
-        let mut panics: Vec<Option<String>> = (0..self.num_threads).map(|_| None).collect();
-        let token = hooks::next_token();
-        hooks::emit(&SyncEvent::Fork {
-            token,
-            children: self.num_threads,
-        });
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(self.num_threads);
-            for (id, (slot, poison)) in results.iter_mut().zip(panics.iter_mut()).enumerate() {
-                let shared = &shared;
-                let body = &body;
-                handles.push(s.spawn(move || {
-                    hooks::emit(&SyncEvent::ChildStart {
-                        token,
-                        child_index: id,
-                    });
-                    let mut worker = pdc_trace::span("shmem", "worker");
-                    worker.arg("thread", id);
-                    let ctx = ThreadCtx {
-                        id,
-                        num_threads: shared.barrier.members(),
-                        shared,
-                    };
-                    // AssertUnwindSafe: on panic the thread's slot stays
-                    // None and the whole region returns Err, so no state
-                    // from the interrupted body is ever observed.
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
-                        Ok(v) => *slot = Some(v),
-                        Err(payload) => {
-                            *poison = Some(panic_message(&*payload));
-                            pdc_trace::counter("shmem", "worker_panics", 1);
-                        }
-                    }
-                    drop(worker);
-                    pdc_trace::flush_thread();
-                    hooks::emit(&SyncEvent::ChildEnd {
-                        token,
-                        child_index: id,
-                    });
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .expect("worker panics are caught inside the region");
-            }
-        });
-        hooks::emit(&SyncEvent::Join { token });
-        pdc_trace::counter("shmem", "parallel_regions", 1);
-        if let Some((thread, msg)) = panics
-            .iter()
-            .enumerate()
-            .find_map(|(i, p)| p.as_ref().map(|m| (i, m.clone())))
-        {
-            return Err(TeamError::WorkerPanicked {
+        self.fork_join("try_parallel", body)
+            .map_err(|(thread, payload)| TeamError::WorkerPanicked {
                 thread,
-                message: msg,
-            });
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("no panic implies every slot filled"))
-            .collect())
+                message: panic_message(&*payload),
+            })
     }
 
     /// Run `body` on every team thread and collect each thread's return
     /// value, ordered by thread id.
+    ///
+    /// A panicking thread aborts the whole region, like OpenMP aborting
+    /// the team on an uncaught exception: once every thread has finished,
+    /// the lowest-id panic resumes on the caller with its original payload.
     pub fn parallel_map<F, T>(&self, body: F) -> Vec<T>
     where
         F: Fn(&ThreadCtx) -> T + Sync,
         T: Send,
     {
-        let mut region = pdc_trace::span("shmem", "parallel");
+        self.fork_join("parallel", body)
+            .unwrap_or_else(|(_, payload)| std::panic::resume_unwind(payload))
+    }
+
+    /// Fork the team under a `shmem/<name>` region span, run `body` on
+    /// every thread with its panics caught, and join. Returns every
+    /// thread's value, or the lowest panicking thread id with its raw
+    /// panic payload.
+    fn fork_join<F, T>(
+        &self,
+        name: &'static str,
+        body: F,
+    ) -> Result<Vec<T>, (usize, Box<dyn Any + Send>)>
+    where
+        F: Fn(&ThreadCtx) -> T + Sync,
+        T: Send,
+    {
+        let mut region = pdc_trace::span("shmem", name);
         region.arg("threads", self.num_threads);
         let shared = RegionShared {
             barrier: self.barrier_kind.build(self.num_threads),
             criticals: CriticalRegistry::default(),
         };
-        let mut results: Vec<Option<T>> = (0..self.num_threads).map(|_| None).collect();
+        let mut results: Vec<Option<std::thread::Result<T>>> =
+            (0..self.num_threads).map(|_| None).collect();
         let token = hooks::next_token();
         hooks::emit(&SyncEvent::Fork {
             token,
@@ -200,7 +160,14 @@ impl Team {
                         num_threads: shared.barrier.members(),
                         shared,
                     };
-                    *slot = Some(body(&ctx));
+                    // AssertUnwindSafe: a panicking thread's result is
+                    // only ever surfaced as its payload, so no state from
+                    // the interrupted body is observed.
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+                    if result.is_err() {
+                        pdc_trace::counter("shmem", "worker_panics", 1);
+                    }
+                    *slot = Some(result);
                     // Close the span, then hand the thread's buffered
                     // events to the registry: a scoped join only waits
                     // for this closure, not for TLS destructors, so a
@@ -214,18 +181,19 @@ impl Team {
                 }));
             }
             for h in handles {
-                // Propagate panics out of the region, like OpenMP aborting
-                // the whole team on an uncaught exception.
-                if let Err(e) = h.join() {
-                    std::panic::resume_unwind(e);
-                }
+                h.join()
+                    .expect("worker panics are caught inside the region");
             }
         });
         hooks::emit(&SyncEvent::Join { token });
         pdc_trace::counter("shmem", "parallel_regions", 1);
         results
             .into_iter()
-            .map(|r| r.expect("every team thread produced a result"))
+            .enumerate()
+            .map(|(id, r)| {
+                r.expect("every team thread ran")
+                    .map_err(|payload| (id, payload))
+            })
             .collect()
     }
 }
@@ -256,7 +224,7 @@ impl std::fmt::Display for TeamError {
 impl std::error::Error for TeamError {}
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -554,6 +522,7 @@ mod tests {
                 }
             });
         }));
-        assert!(result.is_err());
+        let payload = result.expect_err("the worker panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
     }
 }

@@ -337,6 +337,37 @@ fn chaos_fault_history_is_deterministic_for_a_seed() {
 }
 
 #[test]
+fn partition_window_counts_control_traffic_in_thread_mode() {
+    // The 2-rank barrier is two control sends (ops 0 and 1 of the
+    // injector's global counter), both done before rank 0 leaves it.
+    // Rank 0's four user sends are then ops 2..=5, and the window
+    // [3, 5) cuts exactly the second and third of them. Were control
+    // frames not counted, the user sends would be ops 0..=3 and the
+    // window would cut only the fourth.
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new(5).with_partition(
+        vec![0],
+        vec![1],
+        3,
+        5,
+    )));
+    let out = World::new(2)
+        .with_fault_injector(Arc::clone(&inj))
+        .run(|c| {
+            c.barrier().unwrap();
+            if c.rank() == 0 {
+                for i in 0..4u64 {
+                    c.send(1, 2, &i).unwrap();
+                }
+                Vec::new()
+            } else {
+                (0..2).map(|_| c.recv::<u64>(0, 2).unwrap()).collect()
+            }
+        });
+    assert_eq!(out[1], vec![0, 3]);
+    assert_eq!(inj.stats().partition_drops, 2);
+}
+
+#[test]
 fn heat_rejects_unstable_configuration_before_running() {
     let bad = pdc_exemplars::heat::HeatConfig {
         alpha: 0.75,

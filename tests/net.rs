@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdc_chaos::{FaultInjector, FaultPlan, FaultStats};
-use pdc_mpc::{MpcError, Source, TagSel, Transport, World};
-use pdc_net::{FlakyTransport, NetConfig};
+use pdc_mpc::{FlakyTransport, MpcError, Source, TagSel, Transport, World};
+use pdc_net::NetConfig;
 use pdc_patternlets::mp::netsuite;
 
 mod common;
@@ -81,6 +81,36 @@ fn injected_wire_drops_are_recovered_by_send_reliable() {
     );
     assert_eq!(sender.drops_recovered, sender.drops);
     assert!(sender.all_recovered());
+}
+
+#[test]
+fn wire_self_sends_loop_back_through_the_transport() {
+    let outputs = with_mesh(
+        "self",
+        2,
+        |_| {},
+        |rank, transport| {
+            let comm = World::new(2).attach(transport.clone() as Arc<dyn Transport>);
+            let me = comm.rank();
+            let base = 10 * rank as u64;
+            comm.send(me, 1, &base).unwrap();
+            // An ssend to self completes only once a receive matches it,
+            // so this rank receives on a second thread.
+            let got = std::thread::scope(|s| {
+                let receiver = s.spawn(|| {
+                    let plain: u64 = comm.recv(me, 1).unwrap();
+                    let synchronous: u64 = comm.recv(me, 2).unwrap();
+                    (plain, synchronous)
+                });
+                comm.ssend(me, 2, &(base + 1)).unwrap();
+                receiver.join().unwrap()
+            });
+            comm.barrier().unwrap();
+            transport.shutdown();
+            got
+        },
+    );
+    assert_eq!(outputs, vec![(0, 1), (10, 11)]);
 }
 
 #[test]
